@@ -30,13 +30,14 @@ use finesse_bench::{f, kfmt, TextTable};
 use finesse_compiler::{compile_pairing, tower_shape, CompileOptions};
 use finesse_curves::Curve;
 use finesse_dse::{
-    best_point, codesign_alu_sweep, compare_with_software, evaluate_point, explore,
-    figure10_points, variant_sweep_points, DesignPoint, Objective,
+    best_point, codesign_alu_sweep, compare_with_software, evaluate_compiled, evaluate_point,
+    explore, figure10_points, variant_sweep_points, DesignPoint, Objective,
 };
 use finesse_hw::{
     area_breakdown, fpga_utilization, scale, security_bits, AreaInputs, HwModel, NodeMetrics,
     TechNode, FLEXIPAIR, IKEDA_ASSCC19,
 };
+use finesse_ir::json::{json_array_block, json_num_field, json_objects, json_str_field};
 use finesse_ir::{lower, CostModel, FpProgram, HirOp, HirProgram, Kernel, VariantConfig};
 use finesse_sim::simulate;
 use std::fs;
@@ -320,40 +321,26 @@ fn default_gates() -> Vec<Gate> {
         .collect()
 }
 
-/// Extracts the string value of `"key": "…"` from a flat JSON object
-/// body.
-fn json_str_field(obj: &str, key: &str) -> Option<String> {
-    let after = &obj[obj.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let start = after.find('"')? + 1;
-    let end = start + after[start..].find('"')?;
-    Some(after[start..end].to_owned())
-}
-
-/// Extracts the numeric value of `"key": …` from a flat JSON object body.
-fn json_num_field(obj: &str, key: &str) -> Option<f64> {
-    let after = &obj[obj.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let end = after.find([',', '}', ']']).unwrap_or(after.len());
-    after[..end].trim().parse().ok()
-}
-
-/// Parses the `regression_gates` manifest out of the committed
-/// `results/BENCH_fieldops.json` (the format this binary itself emits).
-fn gates_from_json() -> Option<Vec<Gate>> {
-    let text = fs::read_to_string("results/BENCH_fieldops.json").ok()?;
-    let arr = &text[text.find("\"regression_gates\"")?..];
-    let arr = &arr[arr.find('[')? + 1..];
-    let arr = &arr[..arr.find(']')?];
-    let mut gates = Vec::new();
-    for obj in arr.split('{').skip(1) {
-        let obj = &obj[..obj.find('}')?];
-        gates.push(Gate {
-            metric: json_str_field(obj, "metric")?,
-            curve: json_str_field(obj, "curve")?,
-            baseline_ns: json_num_field(obj, "baseline_ns")?,
-            budget_pct: json_num_field(obj, "budget_pct")?,
-        });
-    }
+/// Parses the `regression_gates` manifest out of a bench JSON document
+/// (the format this binary itself emits).
+fn parse_gates(text: &str) -> Option<Vec<Gate>> {
+    let gates = json_objects(json_array_block(text, "regression_gates")?)
+        .into_iter()
+        .map(|obj| {
+            Some(Gate {
+                metric: json_str_field(obj, "metric")?,
+                curve: json_str_field(obj, "curve")?,
+                baseline_ns: json_num_field(obj, "baseline_ns")?,
+                budget_pct: json_num_field(obj, "budget_pct")?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
     (!gates.is_empty()).then_some(gates)
+}
+
+/// The gate manifest of the committed `results/BENCH_fieldops.json`.
+fn gates_from_json() -> Option<Vec<Gate>> {
+    parse_gates(&fs::read_to_string("results/BENCH_fieldops.json").ok()?)
 }
 
 /// The gate manifest: committed JSON first, builtin defaults otherwise.
@@ -1050,34 +1037,10 @@ fn table6() -> String {
     let curve = Curve::by_name("BN254N");
     let variants = default_variants(&curve);
     let hw = HwModel::paper_default();
-    let e1 = evaluate_point(
-        &curve,
-        &DesignPoint {
-            label: "1-core".into(),
-            variants: variants.clone(),
-            hw: hw.clone(),
-        },
-        1,
-    )
-    .expect("evaluate");
-    let e8 = evaluate_point(
-        &curve,
-        &DesignPoint {
-            label: "8-core".into(),
-            variants,
-            hw: hw.clone(),
-        },
-        8,
-    )
-    .expect("evaluate");
-
-    let compiled = compile_pairing(
-        &curve,
-        &default_variants(&curve),
-        &hw,
-        &CompileOptions::default(),
-    )
-    .unwrap();
+    let compiled =
+        compile_pairing(&curve, &variants, &hw, &CompileOptions::default()).expect("compile");
+    let e1 = evaluate_compiled(&compiled, 1).expect("evaluate");
+    let e8 = evaluate_compiled(&compiled, 8).expect("evaluate");
     let fpga = fpga_utilization(
         &hw,
         &AreaInputs {
@@ -1142,8 +1105,7 @@ fn table6() -> String {
         format!("{:.1} kops", IKEDA_ASSCC19.throughput_ops() / 1000.0),
         format!("{:.2} kops/mm2", IKEDA_ASSCC19.kops_per_mm2()),
     ]);
-    for (label, e, cores) in [("Ours (1-core)", &e1, 1u32), ("Ours (8-core)", &e8, 8)] {
-        let _ = cores;
+    for (label, e) in [("Ours (1-core)", &e1), ("Ours (8-core)", &e8)] {
         t.row(vec![
             label.into(),
             "ASIC 40nm LP".into(),
@@ -1548,4 +1510,37 @@ fn fig12() -> String {
         e4.latency_us,
         e4.throughput_ops / 1000.0,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_a_gate_manifest() {
+        let text = r#"{
+  "schema": "finesse-bench-fieldops/v6",
+  "regression_gates": [
+    {"metric": "fq_mul", "curve": "BLS24-509", "baseline_ns": 2800.5, "budget_pct": 10},
+    {"metric": "msm256", "curve": "BN254N", "baseline_ns": 9168355.0, "budget_pct": 30}
+  ],
+  "curves": [{"curve": "BN254N", "fp_mul_ns": 41.6}]
+}"#;
+        let gates = parse_gates(text).unwrap();
+        assert_eq!(gates.len(), 2);
+        assert_eq!(
+            (gates[0].metric.as_str(), gates[0].curve.as_str()),
+            ("fq_mul", "BLS24-509")
+        );
+        assert_eq!((gates[0].baseline_ns, gates[0].budget_pct), (2800.5, 10.0));
+        assert_eq!(
+            (gates[1].metric.as_str(), gates[1].curve.as_str()),
+            ("msm256", "BN254N")
+        );
+        assert_eq!(
+            (gates[1].baseline_ns, gates[1].budget_pct),
+            (9168355.0, 30.0)
+        );
+        assert!(parse_gates(r#"{"regression_gates": []}"#).is_none());
+    }
 }

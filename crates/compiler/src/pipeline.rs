@@ -17,7 +17,7 @@ use finesse_hw::{HwModel, HwModelError};
 use finesse_ir::{lower, FpProgram, HirProgram, TowerShape, VariantConfig};
 use finesse_isa::{CodecError, ProgramImage};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Compilation options beyond variants and hardware.
@@ -125,30 +125,35 @@ impl From<CodecError> for CompileError {
     }
 }
 
+/// Looks `curve` up in a per-curve cache, building and inserting the
+/// value on a miss. A poisoned lock is recovered: the map only ever
+/// holds fully built values, so it is valid even if another thread
+/// panicked while holding it.
+fn cached_per_curve<T>(
+    cache: &OnceLock<Mutex<HashMap<String, Arc<T>>>>,
+    curve: &Curve,
+    build: impl FnOnce(&Curve) -> T,
+) -> Arc<T> {
+    let mut map = cache
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(
+        map.entry(curve.name().to_owned())
+            .or_insert_with(|| Arc::new(build(curve))),
+    )
+}
+
 /// Cached CodeGen: the recorded pairing HIR per curve.
 pub fn pairing_hir(curve: &Arc<Curve>) -> Arc<HirProgram> {
     static CACHE: OnceLock<Mutex<HashMap<String, Arc<HirProgram>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("hir cache poisoned");
-    if let Some(p) = map.get(curve.name()) {
-        return Arc::clone(p);
-    }
-    let prog = Arc::new(IrFlow::record_pairing(curve));
-    map.insert(curve.name().to_owned(), Arc::clone(&prog));
-    prog
+    cached_per_curve(&CACHE, curve, |c| IrFlow::record_pairing(c))
 }
 
 /// Cached tower shapes per curve.
 pub fn tower_shape(curve: &Arc<Curve>) -> Arc<TowerShape> {
     static CACHE: OnceLock<Mutex<HashMap<String, Arc<TowerShape>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("shape cache poisoned");
-    if let Some(s) = map.get(curve.name()) {
-        return Arc::clone(s);
-    }
-    let shape = Arc::new(TowerShape::for_curve(curve));
-    map.insert(curve.name().to_owned(), Arc::clone(&shape));
-    shape
+    cached_per_curve(&CACHE, curve, TowerShape::for_curve)
 }
 
 /// Compiles the optimal-Ate pairing for a curve, variant selection and

@@ -16,10 +16,13 @@ use finesse_hw::HwModel;
 use std::collections::HashMap;
 use std::fmt;
 
+/// The accepted `variants` preset names.
+const VARIANT_PRESETS: [&str; 3] = ["all_karatsuba", "all_schoolbook", "manual"];
+
 /// A parsed flow configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowConfig {
-    /// Curve name (Table 2).
+    /// Curve name (Table 2; [`FlowConfig::parse`] rejects others).
     pub curve: String,
     /// Long (mmul) latency.
     pub long: u32,
@@ -29,7 +32,8 @@ pub struct FlowConfig {
     pub linear_units: u8,
     /// Write-back FIFO.
     pub fifo: bool,
-    /// Variant preset name.
+    /// Variant preset name: `all_karatsuba`, `all_schoolbook` or
+    /// `manual`.
     pub variants: String,
     /// Parallel core count.
     pub cores: u32,
@@ -77,8 +81,9 @@ impl FlowConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseConfigError`] on malformed lines, unknown keys or
-    /// unparseable values.
+    /// Returns [`ParseConfigError`] on malformed lines, unknown keys,
+    /// unparseable values, a curve not in Table 2 or an unknown variant
+    /// preset.
     pub fn parse(text: &str) -> Result<FlowConfig, ParseConfigError> {
         let mut kv = HashMap::new();
         for (n, raw) in text.lines().enumerate() {
@@ -94,14 +99,24 @@ impl FlowConfig {
         let mut cfg = FlowConfig::default();
         for (k, v) in kv {
             match k.as_str() {
-                "curve" => cfg.curve = v,
+                "curve" => {
+                    if finesse_curves::spec_by_name(&v).is_none() {
+                        return Err(ParseConfigError::BadValue(k));
+                    }
+                    cfg.curve = v
+                }
                 "long" => cfg.long = v.parse().map_err(|_| ParseConfigError::BadValue(k))?,
                 "short" => cfg.short = v.parse().map_err(|_| ParseConfigError::BadValue(k))?,
                 "linear_units" => {
                     cfg.linear_units = v.parse().map_err(|_| ParseConfigError::BadValue(k))?
                 }
                 "fifo" => cfg.fifo = v.parse().map_err(|_| ParseConfigError::BadValue(k))?,
-                "variants" => cfg.variants = v,
+                "variants" => {
+                    if !VARIANT_PRESETS.contains(&v.as_str()) {
+                        return Err(ParseConfigError::BadValue(k));
+                    }
+                    cfg.variants = v
+                }
                 "cores" => cfg.cores = v.parse().map_err(|_| ParseConfigError::BadValue(k))?,
                 _ => return Err(ParseConfigError::UnknownKey(k)),
             }
@@ -155,6 +170,14 @@ mod tests {
         ));
         assert!(matches!(
             FlowConfig::parse("long = many"),
+            Err(ParseConfigError::BadValue(_))
+        ));
+        assert!(matches!(
+            FlowConfig::parse("curve = BN255"),
+            Err(ParseConfigError::BadValue(_))
+        ));
+        assert!(matches!(
+            FlowConfig::parse("variants = all_karatsbua"),
             Err(ParseConfigError::BadValue(_))
         ));
         assert!(matches!(

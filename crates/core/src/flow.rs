@@ -10,7 +10,7 @@
 use crate::config::FlowConfig;
 use finesse_compiler::{compile_pairing, tower_shape, CompileOptions, CompiledPairing};
 use finesse_curves::Curve;
-use finesse_dse::{evaluate_point, DesignPoint, DseError, Evaluation};
+use finesse_dse::{evaluate_compiled, DseError, Evaluation};
 use finesse_ff::BigUint;
 use finesse_hw::HwModel;
 use finesse_ir::convert::{fps_to_fpk, fq_to_fps};
@@ -79,7 +79,8 @@ impl DesignFlow {
         &self.curve
     }
 
-    /// Compiles and evaluates the accelerator.
+    /// Compiles the accelerator once, then evaluates that compiled
+    /// artifact with [`evaluate_compiled`].
     ///
     /// # Errors
     ///
@@ -91,12 +92,7 @@ impl DesignFlow {
             &self.hw,
             &CompileOptions::default(),
         )?;
-        let point = DesignPoint {
-            label: "flow".into(),
-            variants: self.variants.clone(),
-            hw: self.hw.clone(),
-        };
-        let eval = evaluate_point(&self.curve, &point, self.cores)?;
+        let eval = evaluate_compiled(&compiled, self.cores)?;
         Ok(Accelerator {
             curve: self.curve,
             compiled,
@@ -233,6 +229,11 @@ mod tests {
     #[test]
     fn flow_builds_and_validates_bn254n() {
         let acc = DesignFlow::for_curve("BN254N").build().unwrap();
+        // One compile: the evaluation times the very artifact it holds.
+        assert_eq!(
+            acc.evaluation().compile_ms,
+            acc.compiled().compile_time.as_secs_f64() * 1000.0
+        );
         let v = acc.validate(2);
         assert!(v.all_passed(), "{v:?}");
         let report = acc.report();

@@ -9,7 +9,9 @@
 //! workspace-wide thread pool idiom honouring `FINESSE_THREADS`),
 //! matching the paper's "basic exploration strategy".
 
-use finesse_compiler::{compile_pairing, tower_shape, CompileError, CompileOptions};
+use finesse_compiler::{
+    compile_pairing, tower_shape, CompileError, CompileOptions, CompiledPairing,
+};
 use finesse_curves::Curve;
 use finesse_hw::{
     area_breakdown, critical_path_ns, frequency_mhz, latency_us, throughput_ops, AreaBreakdown,
@@ -129,7 +131,8 @@ impl Evaluation {
 }
 
 /// Evaluates one design point on a curve (`cores` parallel cores share
-/// the instruction memory).
+/// the instruction memory): [`compile_pairing`] followed by
+/// [`evaluate_compiled`].
 ///
 /// # Errors
 ///
@@ -145,6 +148,20 @@ pub fn evaluate_point(
         &point.hw,
         &CompileOptions::default(),
     )?;
+    evaluate_compiled(&compiled, cores)
+}
+
+/// Evaluates an already compiled pairing for `cores` parallel cores:
+/// decodes its image, simulates it cycle-accurately on `compiled.hw`,
+/// and reads area and timing for `compiled.curve`'s field width. This is
+/// the one place an [`Evaluation`] is built, so a caller that keeps the
+/// compiled artifact (or evaluates it at several core counts) compiles
+/// once.
+///
+/// # Errors
+///
+/// Returns [`DseError::Compile`] if the image fails to decode.
+pub fn evaluate_compiled(compiled: &CompiledPairing, cores: u32) -> Result<Evaluation, DseError> {
     let insts = compiled
         .image
         .spec
@@ -152,7 +169,7 @@ pub fn evaluate_point(
         .map_err(CompileError::Codec)?;
     let report: SimReport = simulate(&insts, &compiled.hw, None);
 
-    let bits = curve.p().bits() as u32;
+    let bits = compiled.curve.p().bits() as u32;
     let inputs = AreaInputs {
         field_bits: bits,
         imem_bytes: compiled.image.imem_bytes(),

@@ -21,6 +21,7 @@
 //!   `finesse-bench-fieldops/v4` through `/v6`), which is the preferred baseline:
 //!   HW/SW comparisons are only meaningful against the current software.
 
+use crate::json::{json_array_block, json_num_field, json_objects, json_str_field};
 use std::fmt;
 use std::path::Path;
 
@@ -556,71 +557,6 @@ pub mod shapes {
             batch_verify_check_ns: Some(pairing * BATCH_CHECK_OVER_PAIRING),
         }
     }
-}
-
-// ---- minimal JSON field extraction (no serde in the workspace) ----
-// The bench emission is machine-written with `"key": value` rows and no
-// braces inside strings, which is all these helpers assume.
-
-fn json_str_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let after = &obj[obj.find(&pat)? + pat.len()..];
-    let start = after.find('"')? + 1;
-    let end = start + after[start..].find('"')?;
-    Some(after[start..end].to_string())
-}
-
-fn json_num_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let after = &obj[obj.find(&pat)? + pat.len()..];
-    let end = after.find([',', '}', ']']).unwrap_or(after.len());
-    after[..end].trim().parse().ok()
-}
-
-/// The bracketed contents of `"key": [ ... ]` (without the brackets).
-fn json_array_block<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let after = &text[text.find(&pat)? + pat.len()..];
-    let open = after.find('[')?;
-    let mut depth = 0usize;
-    for (i, b) in after.bytes().enumerate().skip(open) {
-        match b {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&after[open + 1..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Top-level `{ ... }` objects inside an array block.
-fn json_objects(block: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, b) in block.bytes().enumerate() {
-        match b {
-            b'{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    out.push(&block[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ pub mod convert;
 pub mod cost;
 pub mod fpir;
 pub mod hir;
+pub mod json;
 pub mod lower;
 pub mod shape;
 pub mod variants;

@@ -9,11 +9,11 @@
 
 use finesse_compiler::{compile_pairing, CompileOptions};
 use finesse_curves::{Curve, Family};
+use finesse_dse::evaluate_compiled;
 use finesse_ff::{BigInt, BigUint};
 use finesse_hw::HwModel;
 use finesse_ir::{TowerShape, VariantConfig};
 use finesse_pairing::PairingEngine;
-use finesse_sim::simulate;
 use std::sync::Arc;
 
 fn main() {
@@ -65,13 +65,9 @@ fn main() {
     let variants = VariantConfig::all_karatsuba(&shape);
     let hw = HwModel::paper_default();
     let compiled = compile_pairing(&curve, &variants, &hw, &CompileOptions::default()).unwrap();
-    let insts = compiled.image.spec.decode(&compiled.image.words).unwrap();
-    let report = simulate(&insts, &compiled.hw, None);
+    let eval = evaluate_compiled(&compiled, 1).unwrap();
     println!(
         "accelerator: {} instructions, {} cycles, IPC {:.2}, compiled in {:?}",
-        compiled.instruction_count(),
-        report.cycles,
-        report.ipc(),
-        compiled.compile_time
+        eval.instructions, eval.cycles, eval.ipc, compiled.compile_time
     );
 }
